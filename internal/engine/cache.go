@@ -1,14 +1,12 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"io"
-	"math"
 	"path/filepath"
 
 	"lrm/internal/core"
-	"lrm/internal/faultfs"
-	"lrm/internal/mat"
 	"lrm/internal/mechanism"
 	"lrm/internal/plan"
 	"lrm/internal/workload"
@@ -34,6 +32,21 @@ type flightCall struct {
 	err  error
 }
 
+// wait blocks until the flight lands or the waiter's ctx ends, whichever
+// comes first; a waiter that gives up leaves the flight to its owner.
+func (c *flightCall) wait(ctx context.Context) (mechanism.Prepared, error) {
+	var cancelled <-chan struct{} // nil (never ready) without a ctx
+	if ctx != nil {
+		cancelled = ctx.Done()
+	}
+	select {
+	case <-c.done:
+		return c.p, c.err
+	case <-cancelled:
+		return nil, ctx.Err()
+	}
+}
+
 // cached returns the resident Prepared for a fingerprint without
 // preparing anything on a miss (freshening the LRU and hit counter like
 // any lookup). The sharded path uses it to answer warm shards without
@@ -53,17 +66,16 @@ func (e *Engine) cached(fp string) (mechanism.Prepared, bool) {
 
 // prepared returns the Prepared instance for the workload with the given
 // fingerprint, preparing (or loading from disk) at most once per
-// fingerprint no matter how many goroutines ask concurrently.
-func (e *Engine) prepared(fp string, w *workload.Workload) (mechanism.Prepared, error) {
-	return e.preparedWith(fp, func() (mechanism.Prepared, *plan.Plan, error) {
-		return e.load(fp, w)
-	})
-}
-
-// preparedWith is the cache/singleflight core shared by the dense and
-// spec paths: one LRU lookup, one in-flight coalesce, and at most one
-// invocation of load per fingerprint however many goroutines ask.
-func (e *Engine) preparedWith(fp string, load func() (mechanism.Prepared, *plan.Plan, error)) (mechanism.Prepared, error) {
+// fingerprint no matter how many goroutines ask concurrently. Exactly one
+// of w and s is set. Only the flight owner wraps a dense w as a
+// workload.AsSpec adapter, so a cache hit never pays the adapter's
+// re-hash and O(m·n) sums.
+//
+// A failed or panicking load is contained: the panic becomes an error
+// that the owner and every waiter receive, the flight is cleared, and
+// the fingerprint is retried by the next request. Waiters also give up
+// when their own ctx ends, without disturbing the owner.
+func (e *Engine) prepared(ctx context.Context, fp string, w *workload.Workload, s workload.Spec) (p mechanism.Prepared, err error) {
 	e.mu.Lock()
 	if el, ok := e.byFP[fp]; ok {
 		e.lru.MoveToFront(el)
@@ -74,24 +86,31 @@ func (e *Engine) preparedWith(fp string, load func() (mechanism.Prepared, *plan.
 	if c, ok := e.flight[fp]; ok {
 		e.mu.Unlock()
 		e.coalesced.Add(1)
-		<-c.done
-		return c.p, c.err
+		return c.wait(ctx)
 	}
 	c := &flightCall{done: make(chan struct{})}
 	e.flight[fp] = c
 	e.mu.Unlock()
 
 	e.misses.Add(1)
-	p, pl, err := load()
-
-	e.mu.Lock()
-	delete(e.flight, fp)
-	if err == nil {
-		e.insertLocked(fp, p, pl)
+	var pl *plan.Plan
+	defer func() {
+		if r := recover(); r != nil {
+			p, err = nil, fmt.Errorf("engine: preparing %s panicked: %v", fp, r)
+		}
+		e.mu.Lock()
+		delete(e.flight, fp)
+		if err == nil {
+			e.insertLocked(fp, p, pl)
+		}
+		e.mu.Unlock()
+		c.p, c.err = p, err
+		close(c.done)
+	}()
+	if s == nil {
+		s = workload.AsSpec(w)
 	}
-	e.mu.Unlock()
-	c.p, c.err = p, err
-	close(c.done)
+	p, pl, err = e.load(fp, s)
 	return p, err
 }
 
@@ -126,16 +145,15 @@ func (e *Engine) dropMemo(fp string) {
 }
 
 // load produces the Prepared (and, on a plan-aware engine, the Plan) for
-// one fingerprint: disk cache first (when configured and the mechanism
-// supports it), then a fresh Prepare, which is persisted back to disk for
-// the next process.
-func (e *Engine) load(fp string, w *workload.Workload) (mechanism.Prepared, *plan.Plan, error) {
+// one fingerprint: disk cache first (when configured), then a fresh
+// preparation, which is persisted back to disk for the next process.
+func (e *Engine) load(fp string, s workload.Spec) (mechanism.Prepared, *plan.Plan, error) {
 	if e.planner != nil {
-		return e.loadPlanned(fp, w)
+		return e.loadPlanned(fp, s)
 	}
-	path := e.diskPath(fp)
+	path := e.artifactPath(fp, "", s)
 	if path != "" {
-		if p, err := loadPrepared(e.fs, path, w, e.gamma); err == nil {
+		if p, err := e.restore(path, s, e.gamma); err == nil {
 			e.diskHits.Add(1)
 			return p, nil, nil
 		}
@@ -146,132 +164,110 @@ func (e *Engine) load(fp string, w *workload.Workload) (mechanism.Prepared, *pla
 	if e.hook != nil {
 		e.hook(fp)
 	}
-	p, err := e.mech.Prepare(w)
+	p, err := mechanism.PrepareSpec(e.mech, s, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	if path != "" {
-		if d, ok := decompositionOf(p); ok {
-			if err := e.writeDecomposition(path, d); err == nil {
-				e.diskWrites.Add(1)
-			}
-		}
+	if path != "" && e.persist(path, p) {
+		e.diskWrites.Add(1)
 	}
 	return p, nil, nil
 }
 
-// diskPath returns the cache file for a fingerprint, or "" when disk
-// caching is disabled (no directory configured, or a non-LRM mechanism).
-// The name is <workload-fingerprint>-<options-digest>.lrmd — both parts
-// lowercase hex, so no escaping — keyed on the options too because
-// differently tuned LRM engines sharing a directory must not serve each
-// other's factorizations.
-func (e *Engine) diskPath(fp string) string {
+// artifactPath returns the decomposition file for a fingerprint, or ""
+// when disk caching is disabled (no directory configured, or a fixed
+// mechanism other than the LRM). Every name is
+// <fingerprint>-<tag>[-<planDigest>].<ext>: tag digests the LRM options
+// (fixed engines) or the planner options (planned engines), so
+// differently tuned engines sharing a directory never serve each
+// other's factorizations; a planned lrm winner adds its plan digest, so
+// a replanned decision can never be served by the previous decision's
+// factorization. The extension names the format: .lrmd for a dense
+// decomposition, .lrmk for a factored one. All parts are lowercase hex
+// (spec fingerprints are additionally namespaced "spec-…"), so no
+// escaping is needed and dense and spec keys never collide.
+func (e *Engine) artifactPath(fp, planDigest string, s workload.Spec) string {
 	if e.dir == "" {
 		return ""
 	}
-	return filepath.Join(e.dir, fp+"-"+e.optTag+".lrmd")
+	name := fp + "-" + e.optTag
+	if planDigest != "" {
+		name += "-" + planDigest
+	}
+	if _, ok := s.(*workload.DenseSpec); ok {
+		return filepath.Join(e.dir, name+".lrmd")
+	}
+	return filepath.Join(e.dir, name+".lrmk")
 }
 
-// decomposer is implemented by Prepared instances whose state is a
-// serializable workload decomposition (the LRM); only those can round-trip
-// through the disk cache.
+// restore reads the persisted decomposition at path and checks it
+// actually factors s. The decoder is the only part that differs by
+// workload kind: a dense .lrmd is checked against W, a factored .lrmk
+// factor by factor (see spec.go).
+func (e *Engine) restore(path string, s workload.Spec, gamma float64) (mechanism.Prepared, error) {
+	if d, ok := s.(*workload.DenseSpec); ok {
+		return loadPrepared(e.fs, path, d.Dense(), gamma)
+	}
+	return loadPreparedKron(e.fs, path, s, gamma)
+}
+
+// decomposer and kronDecomposer are implemented by Prepared instances
+// whose state is a serializable decomposition (the LRM, dense and
+// factored); only those can round-trip through the disk cache.
 type decomposer interface {
 	Decomposition() *core.Decomposition
 }
 
-func decompositionOf(p mechanism.Prepared) (*core.Decomposition, bool) {
-	d, ok := p.(decomposer)
-	if !ok {
-		return nil, false
-	}
-	return d.Decomposition(), true
-}
-
-// loadPrepared restores a persisted decomposition and checks it actually
-// factors this workload (a renamed, foreign, or tampered file fails
-// closed here; the decode itself already rejects non-finite or corrupt
-// payloads). This runs only on disk misses, so the extra m×n product is
-// paid once per workload per process, not per answer.
-func loadPrepared(fs faultfs.FS, path string, w *workload.Workload, gamma float64) (mechanism.Prepared, error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	d, err := core.ReadDecomposition(f)
-	if err != nil {
-		return nil, err
-	}
-	if d.B.Rows() != w.Queries() || d.L.Cols() != w.Domain() {
-		return nil, fmt.Errorf("engine: cached decomposition is %d×%d for a %d×%d workload",
-			d.B.Rows(), d.L.Cols(), w.Queries(), w.Domain())
-	}
-	// Integrity: the defining invariant is W ≈ B·L. Metadata can be
-	// forged, but not the actual residual — recompute it and require
-	// consistency with the stored value (small slack for the optimizer's
-	// normalized-space arithmetic) plus a sanity cap, so a well-formed
-	// file holding someone else's (or a zeroed) factorization cannot
-	// silently poison every answer for this workload. The cap admits the
-	// engine's own configured relaxation γ, so a deliberately loose-γ
-	// deployment still gets disk hits for its own legitimate files.
-	normW := math.Sqrt(mat.SquaredSum(w.W))
-	maxResidual := 0.5 * normW
-	if gamma > maxResidual {
-		maxResidual = gamma
-	}
-	frob := math.Sqrt(mat.SquaredSum(mat.Sub(w.W, mat.Mul(d.B, d.L))))
-	if frob > d.Residual+1e-6*normW || d.Residual > maxResidual*(1+1e-9) {
-		return nil, fmt.Errorf("engine: cached decomposition does not factor this workload (‖W−BL‖=%.3g, stored %.3g, ‖W‖=%.3g)",
-			frob, d.Residual, normW)
-	}
-	return mechanism.PreparedFromDecomposition(d)
-}
-
-// writeDecomposition persists atomically and durably: temp file, fsync,
-// rename, directory fsync. The temp fsync *before* the rename is load-
-// bearing — rename is atomic in the namespace but says nothing about the
-// data, so renaming a dirty temp lets a crash leave the final name
-// pointing at a truncated (even zero-length) file. A concurrent reader —
-// another engine sharing the directory — never observes a half-written
-// file, and a crash at any point leaves either no file or a complete
-// one.
-//
-//lrm:sink — the cache file is on-disk state outside the process
-func (e *Engine) writeDecomposition(path string, d *core.Decomposition) error {
-	return e.writeEncoded(path, ".lrmd-*", d)
+type kronDecomposer interface {
+	KronDecomposition() *core.KronDecomposition
 }
 
 // encoder is any artifact with a self-contained binary/JSON writer:
-// dense decompositions, factored (Kronecker) decompositions, and plan
-// documents all persist through the same atomic write.
+// dense decompositions, factored decompositions, and plan documents.
 type encoder interface {
 	Encode(w io.Writer) error
 }
 
-// writeEncoded is the shared atomic+durable writer behind every cache
-// artifact: temp file, fsync, rename, directory fsync (see
-// writeDecomposition's doc for why the pre-rename fsync is load-bearing).
-func (e *Engine) writeEncoded(path, tmpPattern string, enc encoder) error {
+// persist writes one cache artifact — a plan document, or a Prepared's
+// decomposition — atomically and durably: temp file, fsync, rename,
+// directory fsync. The temp fsync *before* the rename is load-bearing —
+// rename is atomic in the namespace but says nothing about the data, so
+// renaming a dirty temp lets a crash leave the final name pointing at a
+// truncated (even zero-length) file. A concurrent reader — another
+// engine sharing the directory — never observes a half-written file,
+// and a crash at any point leaves either no file or a complete one.
+//
+// persist reports whether the file was written. Writes are best-effort
+// (a failure only costs the next process a fresh preparation), and a
+// Prepared with no serializable decomposition writes nothing.
+//
+//lrm:sink — the cache file is on-disk state outside the process
+func (e *Engine) persist(path string, v any) bool {
+	switch a := v.(type) {
+	case decomposer:
+		v = a.Decomposition()
+	case kronDecomposer:
+		v = a.KronDecomposition()
+	}
+	enc, ok := v.(encoder)
+	if !ok {
+		return false
+	}
 	dir := filepath.Dir(path)
-	tmp, err := e.fs.CreateTemp(dir, tmpPattern)
+	tmp, err := e.fs.CreateTemp(dir, filepath.Ext(path)+"-*")
 	if err != nil {
-		return err
+		return false
 	}
 	defer e.fs.Remove(tmp.Name())
-	if err := enc.Encode(tmp); err != nil {
-		tmp.Close()
-		return err
+	err = enc.Encode(tmp)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err == nil {
+		err = e.fs.Rename(tmp.Name(), path)
 	}
-	if err := e.fs.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return e.fs.SyncDir(dir)
+	return err == nil && e.fs.SyncDir(dir) == nil
 }

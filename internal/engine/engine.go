@@ -3,15 +3,22 @@
 // workload decomposition ("optimize once, answer forever") across many
 // private releases and many concurrent clients.
 //
-// The engine keys workloads by a content fingerprint (core.Fingerprint
-// over W's dimensions and data) and keeps an LRU cache of
-// mechanism.Prepared instances. Cache misses are deduplicated with
-// singleflight semantics: N concurrent first requests for one workload
-// run exactly one Prepare, and the other N−1 block on the same result.
-// When a cache directory is configured, LRM decompositions are persisted
-// with core's gob format and restored on the next miss — including by a
-// different process — so the optimization cost is paid once per workload
-// per deployment, not per process.
+// The engine keys workloads by a content fingerprint — core.Fingerprint
+// over W's dimensions and data for a dense Request.Workload,
+// workload.SpecFingerprint for an implicit Request.Spec — and keeps an
+// LRU cache of mechanism.Prepared instances. Cache misses are
+// deduplicated with singleflight semantics: N concurrent first requests
+// for one workload run exactly one Prepare, and the other N−1 block on
+// the same result (or give up with their own context).
+//
+// Both request kinds take one load path (cache.go; spec.go describes
+// it): on a miss a dense workload becomes a workload.AsSpec adapter, and
+// one load, one restore and one persist serve every workload. When a
+// cache directory is configured, LRM decompositions are persisted as
+// <fingerprint>-<tag>.lrmd (dense) or .lrmk (factored) and restored on
+// the next miss — including by a different process — so the
+// optimization cost is paid once per workload per deployment, not per
+// process.
 //
 // Batches of histograms take the mechanism's multi-RHS path when it has
 // one (mechanism.BatchAnswerer): the batch becomes an n×B matrix and
@@ -25,7 +32,7 @@
 // spends are accounted on a per-request privacy.Budget, whose mutex
 // makes concurrent workers unable to jointly overspend.
 //
-// Oversized workloads can opt into row-sharded prepare
+// Oversized dense workloads can opt into row-sharded prepare
 // (Options.ShardRows): row blocks decompose concurrently, cache under
 // their own fingerprints, answer at ε/k each (sequential composition),
 // and concatenate — see shard.go.
@@ -89,8 +96,8 @@ type Options struct {
 	// (default 64). Least-recently-answered workloads are evicted first.
 	CacheSize int
 	// CacheDir, when non-empty, persists LRM decompositions as
-	// <fingerprint>-<options-digest>.lrmd files and restores them on
-	// later misses. The directory is created if needed and may be shared
+	// <fingerprint>-<options-digest>.lrmd files (.lrmk for a factored
+	// Spec decomposition) and restores them on later misses. The directory is created if needed and may be shared
 	// across processes (and across differently tuned engines — the
 	// options digest keeps their files apart). Ignored for mechanisms
 	// other than the LRM, which have no serializable decomposition.
@@ -418,11 +425,17 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// spendTenant charges the request's total ε — Eps per histogram,
-// composed sequentially — against its tenant's durable budget. This is
-// the request's single accounting event; callers invoke it only at the
-// commit point.
-func (e *Engine) spendTenant(req Request) error {
+// commit is the request's commit point, shared by the unsharded and
+// sharded paths: the preparation is done and noise is about to be drawn.
+// A request whose caller has already given up is abandoned here, before
+// it costs any ε. Otherwise its total ε — Eps per histogram, composed
+// sequentially — is charged against its tenant's durable budget: the
+// request's single accounting event, durable even if the caller later
+// disconnects.
+func (e *Engine) commit(req Request) error {
+	if err := ctxErr(req.Context); err != nil {
+		return err
+	}
 	if e.accountant == nil || req.Tenant == "" {
 		return nil
 	}
@@ -446,65 +459,67 @@ func (e *Engine) Answer(req Request) ([][]float64, error) {
 	if err := ctxErr(req.Context); err != nil {
 		return nil, err
 	}
-	if req.Spec != nil {
-		if req.Workload != nil {
-			return nil, errors.New("engine: request sets both Workload and Spec")
+	var n int
+	switch {
+	case req.Spec != nil && req.Workload != nil:
+		return nil, errors.New("engine: request sets both Workload and Spec")
+	case req.Spec != nil:
+		if req.Spec.Queries() <= 0 || req.Spec.Domain() <= 0 {
+			return nil, errors.New("engine: empty spec")
 		}
-		return e.answerSpec(req)
-	}
-	if req.Workload == nil || req.Workload.W == nil {
+		n = req.Spec.Domain()
+	case req.Workload == nil || req.Workload.W == nil:
 		return nil, errors.New("engine: nil workload")
+	default:
+		n = req.Workload.Domain()
 	}
-	if err := validateHistograms(req, req.Workload.Domain()); err != nil {
+	if len(req.Histograms) == 0 {
+		return nil, errors.New("engine: no histograms")
+	}
+	if err := req.Eps.Validate(); err != nil {
 		return nil, err
+	}
+	for i, x := range req.Histograms {
+		if len(x) != n {
+			return nil, fmt.Errorf("engine: histogram %d has %d entries, domain is %d", i, len(x), n)
+		}
 	}
 	e.requests.Add(1)
 
+	if req.Spec != nil {
+		e.implicit.Add(1)
+	}
+	if d, ok := req.Spec.(*workload.DenseSpec); ok {
+		// The adapter IS the dense path: same fingerprint, so adapter and
+		// plain-Workload requests share one cache entry, and row sharding
+		// still applies.
+		req.Workload, req.Spec = d.Dense(), nil
+	}
+
 	fp := req.Fingerprint
-	if fp == "" {
+	switch {
+	case fp != "":
+	case req.Spec != nil:
+		fp = workload.SpecFingerprint(req.Spec)
+	default:
 		fp = e.fingerprint(req.Workload.W)
 	}
-	if e.shardRows > 0 && req.Workload.Queries() > e.shardRows {
+	if req.Workload != nil && e.shardRows > 0 && req.Workload.Queries() > e.shardRows {
 		return e.answerSharded(fp, req)
 	}
-	p, err := e.prepared(fp, req.Workload)
+	p, err := e.prepared(req.Context, fp, req.Workload, req.Spec)
 	if err != nil {
 		return nil, err
 	}
 	return e.release(p, req)
 }
 
-// validateHistograms checks the request's release parameters and that
-// every histogram matches the workload's domain.
-func validateHistograms(req Request, n int) error {
-	if len(req.Histograms) == 0 {
-		return errors.New("engine: no histograms")
-	}
-	if err := req.Eps.Validate(); err != nil {
-		return err
-	}
-	for i, x := range req.Histograms {
-		if len(x) != n {
-			return fmt.Errorf("engine: histogram %d has %d entries, domain is %d", i, len(x), n)
-		}
-	}
-	return nil
-}
-
-// release is the post-preparation tail shared by the dense and spec
-// paths: commit point, tenant spend, per-request budget, then the
-// actual noisy answers.
+// release is the post-preparation tail of an unsharded request: commit
+// point, per-request budget, then the actual noisy answers.
 //
 //lrm:sink return — everything release returns leaves the privacy boundary
 func (e *Engine) release(p mechanism.Prepared, req Request) ([][]float64, error) {
-	// Commit point: the preparation is done and noise is about to be
-	// drawn. A request whose caller has already given up is abandoned
-	// here, before it costs any ε; past this point the tenant's spend is
-	// durable even if the caller later disconnects.
-	if err := ctxErr(req.Context); err != nil {
-		return nil, err
-	}
-	if err := e.spendTenant(req); err != nil {
+	if err := e.commit(req); err != nil {
 		return nil, err
 	}
 

@@ -148,7 +148,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if err != nil || len(files) != 1 {
 		t.Fatalf("cache dir files = %v (err %v), want one .lrmd", files, err)
 	}
-	if want := e1.diskPath(core.Fingerprint(w.W)); files[0] != want {
+	if want := e1.artifactPath(core.Fingerprint(w.W), "", workload.AsSpec(w)); files[0] != want {
 		t.Fatalf("cache file %q, want fingerprint-named %q", files[0], want)
 	}
 
@@ -176,7 +176,7 @@ func TestDiskCacheCorruptFile(t *testing.T) {
 	w := testWorkload(30)
 	var prepares atomic.Int64
 	e := newTestEngine(t, Options{CacheDir: dir, PrepareHook: func(string) { prepares.Add(1) }})
-	path := e.diskPath(core.Fingerprint(w.W))
+	path := e.artifactPath(core.Fingerprint(w.W), "", workload.AsSpec(w))
 	if err := os.WriteFile(path, []byte("not a decomposition"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestDiskCacheForgedFile(t *testing.T) {
 	if err := forged.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	path := e.diskPath(core.Fingerprint(w.W))
+	path := e.artifactPath(core.Fingerprint(w.W), "", workload.AsSpec(w))
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}

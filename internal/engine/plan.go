@@ -19,25 +19,27 @@ import (
 // fingerprint: the planner options are fixed for the engine's lifetime
 // and planning is deterministic, so the fingerprint determines the plan.
 // On disk the key is richer — <fp>-<plannerTag>.plan.json for the
-// decision and <fp>-<plannerTag>-<planDigest>.lrmd for an lrm winner's
-// decomposition — so artifacts from a differently configured planner, or
-// from a plan whose decision has changed, are orphaned rather than
-// served (the plan document is additionally self-checking: its stored
-// digest must match the digest recomputed from its fields).
+// decision and <fp>-<plannerTag>-<planDigest>.lrmd (.lrmk for a spec)
+// for an lrm winner's decomposition — so artifacts from a differently
+// configured planner, or from a plan whose decision has changed, are
+// orphaned rather than served (the plan document is additionally
+// self-checking: its stored digest must match the digest recomputed
+// from its fields).
 //
 // Restart economics. A restored plan document skips the analysis and the
 // candidate scoring entirely; an lrm winner then restores its
-// decomposition (validated against W like any disk hit) instead of
-// re-running the ALM, and a baseline winner re-runs only its trivial
-// Prepare. Restores count as DiskHits, fresh plans as Planned.
+// decomposition (validated like any disk hit) instead of re-running the
+// ALM, and a baseline winner re-runs only its trivial Prepare. Restores
+// count as DiskHits, fresh plans as Planned.
 
 // loadPlanned produces the Prepared and Plan for one fingerprint on a
 // plan-aware engine: restore from disk when possible, otherwise run the
 // planner (whose scoring already prepares the winner — planning IS
 // preparing) and persist the result.
-func (e *Engine) loadPlanned(fp string, w *workload.Workload) (mechanism.Prepared, *plan.Plan, error) {
-	if path := e.planPath(fp); path != "" {
-		if p, pl, err := e.restorePlanned(path, fp, w); err == nil {
+func (e *Engine) loadPlanned(fp string, s workload.Spec) (mechanism.Prepared, *plan.Plan, error) {
+	path := e.planPath(fp)
+	if path != "" {
+		if p, pl, err := e.restorePlanned(path, fp, s); err == nil {
 			e.diskHits.Add(1)
 			return p, pl, nil
 		}
@@ -50,22 +52,18 @@ func (e *Engine) loadPlanned(fp string, w *workload.Workload) (mechanism.Prepare
 	if e.hook != nil {
 		e.hook(fp)
 	}
-	pl, err := plan.New(w, opts)
+	pl, err := plan.NewSpec(s, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	e.planned.Add(1)
 	p := pl.Prepared()
-	if path := e.planPath(fp); path != "" {
-		if err := e.writePlan(path, pl); err == nil {
-			if d, ok := decompositionOf(p); ok {
-				// Best-effort like every disk write: a failed .lrmd write
-				// leaves a valid plan document whose restore path will
-				// simply miss on the decomposition and re-plan.
-				_ = e.writeDecomposition(e.plannedDiskPath(fp, pl.Digest()), d)
-			}
-			e.diskWrites.Add(1)
-		}
+	if path != "" && e.persist(path, pl) {
+		// Best-effort like every disk write: a failed decomposition write
+		// leaves a valid plan document whose restore simply misses on the
+		// decomposition and re-plans.
+		e.persist(e.artifactPath(fp, pl.Digest(), s), p)
+		e.diskWrites.Add(1)
 	}
 	return p, pl, nil
 }
@@ -73,8 +71,8 @@ func (e *Engine) loadPlanned(fp string, w *workload.Workload) (mechanism.Prepare
 // restorePlanned rebuilds a served workload from its persisted plan: the
 // decision comes from the (self-checking) document, the preparation from
 // the decomposition file for an lrm winner or a fresh trivial Prepare
-// for a baseline winner.
-func (e *Engine) restorePlanned(path, fp string, w *workload.Workload) (mechanism.Prepared, *plan.Plan, error) {
+// for a baseline winner — zero Prepares either way.
+func (e *Engine) restorePlanned(path, fp string, s workload.Spec) (mechanism.Prepared, *plan.Plan, error) {
 	f, err := e.fs.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -87,18 +85,26 @@ func (e *Engine) restorePlanned(path, fp string, w *workload.Workload) (mechanis
 	if pl.Fingerprint != fp {
 		return nil, nil, fmt.Errorf("engine: plan document is for workload %s, not %s", pl.Fingerprint, fp)
 	}
+	// Spec plans record the spec's descriptor; dense plans leave it
+	// empty. The fingerprint already binds the digest, but the
+	// descriptor is the human-auditable form, so a mismatch means a
+	// tampered document.
+	var desc string
+	if _, dense := s.(*workload.DenseSpec); !dense {
+		desc = s.Describe()
+	}
+	if pl.SpecDesc != desc {
+		return nil, nil, fmt.Errorf("engine: plan document describes %q, request is %q", pl.SpecDesc, desc)
+	}
+	var p mechanism.Prepared
 	if pl.Mechanism == "lrm" {
-		p, err := loadPrepared(e.fs, e.plannedDiskPath(fp, pl.Digest()), w, pl.LRMOptions.Gamma)
-		if err != nil {
-			return nil, nil, err
+		p, err = e.restore(e.artifactPath(fp, pl.Digest(), s), s, pl.LRMOptions.Gamma)
+	} else {
+		var m mechanism.Mechanism
+		if m, err = mechanism.ByName(pl.Mechanism, e.planner.Config); err == nil {
+			p, err = mechanism.PrepareSpec(m, s, pl.Stats)
 		}
-		return p, pl, nil
 	}
-	m, err := mechanism.ByName(pl.Mechanism, e.planner.Config)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := m.Prepare(w)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -112,20 +118,6 @@ func (e *Engine) planPath(fp string) string {
 		return ""
 	}
 	return filepath.Join(e.dir, fp+"-"+e.optTag+".plan.json")
-}
-
-// plannedDiskPath is the decomposition file for a planned lrm winner:
-// keyed by workload fingerprint, planner-options digest, AND plan
-// digest, so a replanned decision can never be served by the previous
-// decision's factorization.
-func (e *Engine) plannedDiskPath(fp, digest string) string {
-	return filepath.Join(e.dir, fp+"-"+e.optTag+"-"+digest+".lrmd")
-}
-
-// writePlan persists a plan document atomically and durably (temp file
-// + fsync + rename + directory fsync), mirroring writeDecomposition.
-func (e *Engine) writePlan(path string, pl *plan.Plan) error {
-	return e.writeEncoded(path, ".plan-*", pl)
 }
 
 // PlanDecision is one resident plan, as surfaced by Decisions and the

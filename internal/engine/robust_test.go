@@ -6,12 +6,17 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"lrm/internal/faultfs"
 	"lrm/internal/mechanism"
 	"lrm/internal/plan"
 	"lrm/internal/privacy"
+	"lrm/internal/workload"
 )
 
 func testAccountant(t *testing.T, total privacy.Epsilon) *privacy.Accountant {
@@ -319,4 +324,153 @@ func corruptFiles(t *testing.T, dir string, names []string) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// gatedMech is the test LRM whose Prepare announces itself on entered
+// and then waits for release to close, so a test can hold a flight open
+// while waiters join it. With panicked set, the first call then panics.
+type gatedMech struct {
+	mechanism.LRM
+	entered, release chan struct{}
+	panicked         *atomic.Bool // nil: never panic
+}
+
+func (m gatedMech) Prepare(w *workload.Workload) (mechanism.Prepared, error) {
+	select {
+	case m.entered <- struct{}{}:
+	default:
+	}
+	<-m.release
+	if m.panicked != nil && m.panicked.CompareAndSwap(false, true) {
+		panic("prepare exploded")
+	}
+	return m.LRM.Prepare(w)
+}
+
+func newGatedMech(panics bool) gatedMech {
+	m := gatedMech{
+		LRM:     mechanism.LRM{Options: fastOpts()},
+		entered: make(chan struct{}, 1),
+		release: make(chan struct{}),
+	}
+	if panics {
+		m.panicked = new(atomic.Bool)
+	}
+	return m
+}
+
+// answerAsync runs e.Answer on its own goroutine. The channel yields its
+// error; a panic escaping Answer is reported as an error, not a crash.
+func answerAsync(e *Engine, req Request) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				done <- fmt.Errorf("Answer panicked: %v", r)
+			}
+		}()
+		_, err := e.Answer(req)
+		done <- err
+	}()
+	return done
+}
+
+// await returns an answerAsync result, failing the test if the request
+// is still blocked after d.
+func await(t *testing.T, done <-chan error, d time.Duration, what string) error {
+	t.Helper()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		t.Fatalf("%s still blocked after %v", what, d)
+		return nil
+	}
+}
+
+// waitCoalesced polls until n requests have joined an in-flight
+// preparation.
+func waitCoalesced(t *testing.T, e *Engine, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for e.Stats().Coalesced < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests joined the flight", e.Stats().Coalesced, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPrepareFailureContained: one bad preparation must not wedge its
+// workload. A panicking Prepare reaches the owner and every waiter as an
+// error and leaves the fingerprint retryable; a waiter whose context
+// ends returns promptly while the owner keeps preparing; and no failed
+// request spends tenant ε.
+func TestPrepareFailureContained(t *testing.T) {
+	t.Run("panic", func(t *testing.T) {
+		acct := testAccountant(t, 10)
+		m := newGatedMech(true)
+		e := newTestEngine(t, Options{Mechanism: m, Accountant: acct})
+		w := testWorkload(370)
+		req := Request{Workload: w, Histograms: [][]float64{testHistogram(w.Domain(), 371)}, Eps: 0.5, Tenant: "alice"}
+
+		owner := answerAsync(e, req)
+		<-m.entered
+		waiter := answerAsync(e, req)
+		waitCoalesced(t, e, 1)
+		close(m.release)
+		for _, r := range []struct {
+			name string
+			done <-chan error
+		}{{"owner", owner}, {"waiter", waiter}} {
+			err := await(t, r.done, 10*time.Second, r.name)
+			if err == nil || !strings.Contains(err.Error(), "engine: preparing") {
+				t.Fatalf("%s = %v, want the prepare panic as an engine error", r.name, err)
+			}
+		}
+		if got := float64(acct.Spent("alice")); got != 0 {
+			t.Fatalf("panicked prepare spent %v ε, want 0", got)
+		}
+
+		if err := await(t, answerAsync(e, req), 10*time.Second, "retry"); err != nil {
+			t.Fatalf("retry after a panicked prepare = %v, want success", err)
+		}
+		if st := e.Stats(); st.Prepares != 2 || st.Cached != 1 {
+			t.Fatalf("stats = %+v, want the retry to prepare again and cache", st)
+		}
+		if got := float64(acct.Spent("alice")); math.Abs(got-0.5) > 1e-9 {
+			t.Fatalf("successful retry spent %v, want 0.5", got)
+		}
+	})
+
+	t.Run("cancelled waiter", func(t *testing.T) {
+		acct := testAccountant(t, 10)
+		m := newGatedMech(false)
+		release := sync.OnceFunc(func() { close(m.release) })
+		t.Cleanup(release)
+		e := newTestEngine(t, Options{Mechanism: m, Accountant: acct})
+		w := testWorkload(380)
+		x := testHistogram(w.Domain(), 381)
+
+		owner := answerAsync(e, Request{Workload: w, Histograms: [][]float64{x}, Eps: 0.5})
+		<-m.entered
+		ctx, cancel := context.WithCancel(context.Background())
+		waiter := answerAsync(e, Request{Context: ctx, Workload: w, Histograms: [][]float64{x}, Eps: 0.5, Tenant: "alice"})
+		waitCoalesced(t, e, 1)
+		cancel()
+		if err := await(t, waiter, 2*time.Second, "cancelled waiter"); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled waiter = %v, want context.Canceled", err)
+		}
+		if got := float64(acct.Spent("alice")); got != 0 {
+			t.Fatalf("cancelled waiter spent %v ε, want 0", got)
+		}
+
+		release()
+		if err := await(t, owner, 10*time.Second, "owner"); err != nil {
+			t.Fatalf("owner = %v, want success after a waiter left", err)
+		}
+		if st := e.Stats(); st.Prepares != 1 || st.Cached != 1 {
+			t.Fatalf("stats = %+v, want one prepare, cached", st)
+		}
+	})
 }

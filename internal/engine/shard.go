@@ -134,7 +134,7 @@ func (e *Engine) answerSharded(fp string, req Request) ([][]float64, error) {
 			preps[s] = p
 			return
 		}
-		preps[s], errs[s] = e.prepared(plan.fps[s], shardWorkload(req.Workload, plan.bounds[s], s))
+		preps[s], errs[s] = e.prepared(req.Context, plan.fps[s], shardWorkload(req.Workload, plan.bounds[s], s), nil)
 	})
 	for s, err := range errs {
 		if err != nil {
@@ -142,14 +142,9 @@ func (e *Engine) answerSharded(fp string, req Request) ([][]float64, error) {
 		}
 	}
 
-	// Commit point, mirroring the unsharded path: every shard is
-	// prepared, noise is next. A cancelled caller is abandoned here and
-	// the tenant's durable spend — the full composed ε, charged once —
-	// happens only for requests that go on to release.
-	if err := ctxErr(req.Context); err != nil {
-		return nil, err
-	}
-	if err := e.spendTenant(req); err != nil {
+	// Commit point: every shard is prepared, noise is next. The
+	// tenant's durable spend is the full composed ε, charged once.
+	if err := e.commit(req); err != nil {
 		return nil, err
 	}
 

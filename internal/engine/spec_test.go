@@ -233,7 +233,7 @@ func TestSpecDiskRejectsTamperedKron(t *testing.T) {
 	}
 	// Plant the other spec's decomposition under the victim's cache key.
 	// Same shapes, different matrices — only the residual check can tell.
-	victimPath := e1.specDiskPath(workload.SpecFingerprint(victim))
+	victimPath := e1.artifactPath(workload.SpecFingerprint(victim), "", victim)
 	data, err := os.ReadFile(files[0])
 	if err != nil {
 		t.Fatal(err)
@@ -347,11 +347,11 @@ func TestSpecPreparedFromKronRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, ok := kronDecompositionOf(p)
+	d, ok := p.(kronDecomposer)
 	if !ok {
 		t.Fatal("LRM spec preparation does not expose its factored decomposition")
 	}
-	if _, err := core.NewKronMechanism(d); err != nil {
+	if _, err := core.NewKronMechanism(d.KronDecomposition()); err != nil {
 		t.Fatalf("restored mechanism: %v", err)
 	}
 }
